@@ -96,7 +96,7 @@ func parseArgs(args []string) (server.Config, runOpts, error) {
 	var (
 		listen      = fs.String("listen", "127.0.0.1:7070", "TCP listen address")
 		shards      = fs.Int("shards", 16, "store shard count (MULTI fan-out width)")
-		buckets     = fs.Int("buckets", 64, "hash buckets per shard")
+		buckets     = fs.Int("buckets", server.DefaultBuckets, "hash buckets per shard")
 		executors   = fs.Int("executors", 0, "shard-affine executor count (0 = GOMAXPROCS, capped at shards)")
 		groupLimit  = fs.Int("group-limit", 0, "max single-key ops coalesced per group commit (0 = default 32, 1 = disable)")
 		flushWindow = fs.Duration("flush-window", 0, "how long an executor holds an open group waiting for more ops (0 = never wait)")

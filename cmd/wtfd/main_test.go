@@ -23,7 +23,7 @@ func TestParseArgs(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, got parsed) {
-				if got.cfg.Shards != 16 || got.cfg.Buckets != 64 {
+				if got.cfg.Shards != 16 || got.cfg.Buckets != server.DefaultBuckets {
 					t.Errorf("default shards/buckets = %d/%d", got.cfg.Shards, got.cfg.Buckets)
 				}
 				if got.opts.listen != "127.0.0.1:7070" {

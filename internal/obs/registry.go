@@ -94,8 +94,9 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // used to expose counters the hot paths already maintain (server atomics,
 // queue lengths) without double-counting writes.
 type funcSample struct {
-	d  desc
-	fn func() int64
+	d   desc
+	fn  func() int64
+	ffn func() float64 // set instead of fn for float-valued series
 }
 
 // Registry holds an ordered set of metrics and renders them in Prometheus
@@ -136,6 +137,12 @@ func (r *Registry) CounterFunc(name, help string, ls Labels, fn func() int64) {
 // GaugeFunc registers a gauge whose value is fn() at scrape time.
 func (r *Registry) GaugeFunc(name, help string, ls Labels, fn func() int64) {
 	r.add(&funcSample{d: desc{fam: name, help: help, typ: "gauge", labels: renderLabels(ls)}, fn: fn})
+}
+
+// FloatCounterFunc registers a float-valued counter (e.g. seconds) whose
+// value is fn() at scrape time.
+func (r *Registry) FloatCounterFunc(name, help string, ls Labels, fn func() float64) {
+	r.add(&funcSample{d: desc{fam: name, help: help, typ: "counter", labels: renderLabels(ls)}, ffn: fn})
 }
 
 // Histogram registers a histogram exposed as a Prometheus summary
@@ -207,6 +214,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Gauge:
 			intSample(&m.d, m.Value())
 		case *funcSample:
+			if m.ffn != nil {
+				header(&m.d)
+				b.WriteString(m.d.series(""))
+				b.WriteByte(' ')
+				b.WriteString(strconv.FormatFloat(m.ffn(), 'g', -1, 64))
+				b.WriteByte('\n')
+				continue
+			}
 			intSample(&m.d, m.fn())
 		case *Histogram:
 			header(&m.desc)

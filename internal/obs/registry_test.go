@@ -11,6 +11,7 @@ func TestRegistryPrometheusText(t *testing.T) {
 	c2 := r.Counter("wtfd_requests_total", "", Labels{"op": "put"})
 	g := r.Gauge("wtfd_inflight", "In-flight requests.", nil)
 	r.GaugeFunc("wtfd_queue_depth", "Executor queue depth.", Labels{"executor": "0"}, func() int64 { return 7 })
+	r.FloatCounterFunc("go_gc_cpu_seconds_total", "GC CPU time.", nil, func() float64 { return 0.25 })
 	h := r.DurationHistogram("wtfd_stage_latency_seconds", "Stage latency.", Labels{"stage": "queue", "op": "get"})
 
 	c.Add(3)
@@ -32,6 +33,8 @@ func TestRegistryPrometheusText(t *testing.T) {
 		"# TYPE wtfd_inflight gauge",
 		"wtfd_inflight 42",
 		`wtfd_queue_depth{executor="0"} 7`,
+		"# TYPE go_gc_cpu_seconds_total counter",
+		"go_gc_cpu_seconds_total 0.25",
 		"# TYPE wtfd_stage_latency_seconds summary",
 		`wtfd_stage_latency_seconds{op="get",stage="queue",quantile="0.5"} 0.001`,
 		`wtfd_stage_latency_seconds_sum{op="get",stage="queue"} 1`,

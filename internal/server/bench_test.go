@@ -2,6 +2,9 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"testing"
 
@@ -136,6 +139,83 @@ func BenchmarkServerFastGet(b *testing.B) {
 		}
 		scratch = wire.AppendGetResult(scratch[:0], id, val, found)
 	}
+}
+
+// BenchmarkServerMulti measures the executor path of the MULTI shape the
+// benchmark's multi8-skew workload sends — 4 GETs and 4 PUTs of 64 B values
+// per request, one core transaction fanning out per-shard futures — over a
+// 64k-key store, including request decode and response encode. Besides
+// B/op and allocs/op it reports gc-cpu-ns/op: the runtime's estimate of GC
+// CPU time (runtime/metrics /cpu/classes/gc/total:cpu-seconds, accumulated
+// at the end of each cycle) per MULTI. That is where the cost of keeping
+// the keyspace live on the heap shows up, since the GC marks every
+// pointer-bearing object of it on every cycle.
+func BenchmarkServerMulti(b *testing.B) {
+	const keys, valLen = 64 << 10, 64
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Drain()
+	key := func(i int) string { return fmt.Sprintf("key-%06d", i) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("%-*d", valLen, i)) }
+	var scratch []byte
+	run := func(payload []byte) {
+		req := wire.AcquireRequest()
+		if err := wire.DecodeRequestInto(req, payload); err != nil {
+			b.Fatal(err)
+		}
+		resp := wire.AcquireResponse()
+		s.execute(req, resp)
+		wire.ReleaseRequest(req)
+		if resp.Result.Status != wire.StatusOK {
+			b.Fatalf("MULTI status %v", resp.Result.Status)
+		}
+		if scratch, err = wire.AppendResponse(scratch[:0], resp); err != nil {
+			b.Fatal(err)
+		}
+		wire.ReleaseResponse(resp)
+	}
+	for lo := 0; lo < keys; lo += 1024 {
+		batch := make([]wire.Cmd, 1024)
+		for i := range batch {
+			batch[i] = wire.Put(key(lo+i), val(lo+i))
+		}
+		load, err := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpMulti, Batch: batch})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(load)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	reqs := make([][]byte, 1024)
+	for r := range reqs {
+		batch := make([]wire.Cmd, 8)
+		for i := range batch {
+			k := rnd.Intn(keys)
+			if i < 4 {
+				batch[i] = wire.Get(key(k))
+			} else {
+				batch[i] = wire.Put(key(k), val(r))
+			}
+		}
+		if reqs[r], err = wire.AppendRequest(nil, &wire.Request{ID: uint32(r), Op: wire.OpMulti, Batch: batch}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gcCPU := func() float64 {
+		sample := []rtmetrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+		rtmetrics.Read(sample)
+		return sample[0].Value.Float64()
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	gc0 := gcCPU()
+	for i := 0; i < b.N; i++ {
+		run(reqs[i%len(reqs)])
+	}
+	b.ReportMetric((gcCPU()-gc0)*1e9/float64(b.N), "gc-cpu-ns/op")
 }
 
 // BenchmarkServerE2EPipelined is the closed-loop loopback shape the wtfbench

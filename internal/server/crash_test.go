@@ -28,7 +28,7 @@ import (
 func dumpState(t *testing.T, s *Server) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	var kvs []tstruct.KV
+	var kvs []tstruct.PackedKV
 	for _, m := range s.store.shards {
 		err := s.sys.Atomic(func(tx *wtftm.Tx) error {
 			kvs = m.Snapshot(tx, kvs[:0])
@@ -38,7 +38,7 @@ func dumpState(t *testing.T, s *Server) map[string]string {
 			t.Fatalf("snapshot read: %v", err)
 		}
 		for _, kv := range kvs {
-			out[kv.Key] = kv.Val.(string)
+			out[kv.Key] = kv.Val
 		}
 	}
 	return out

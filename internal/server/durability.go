@@ -304,12 +304,12 @@ func newDurability(s *Server, cfg Config) (*durability, error) {
 }
 
 // recoverer batches snapshot-entry restores into bulk transactions (one
-// Map.Restore per 1024 entries instead of one commit per entry). Apply
+// PackedMap.Restore per 1024 entries instead of one commit per entry). Apply
 // flushes first, so replayed records always see the restored prefix.
 type recoverer struct {
 	s       *Server
 	shard   int
-	pending []tstruct.KV
+	pending []tstruct.PackedKV
 }
 
 func (r *recoverer) restore(shard int, key string, val []byte) error {
@@ -319,7 +319,7 @@ func (r *recoverer) restore(shard int, key string, val []byte) error {
 		}
 		r.shard = shard
 	}
-	r.pending = append(r.pending, tstruct.KV{Key: key, Val: string(val)})
+	r.pending = append(r.pending, tstruct.PackedKV{Key: key, Val: string(val)})
 	if len(r.pending) >= 1024 {
 		return r.flush()
 	}
@@ -349,7 +349,7 @@ func (r *recoverer) apply(shard int, seq uint64, payload []byte) error {
 		return wal.DecodeBatch(payload, func(op wal.Op) error {
 			switch op.Kind {
 			case wal.OpPut:
-				m.Put(tx, op.Key, string(op.Val))
+				m.Put(tx, op.Key, op.Val)
 			case wal.OpDel:
 				m.Delete(tx, op.Key)
 			}
@@ -362,7 +362,7 @@ func (r *recoverer) apply(shard int, seq uint64, payload []byte) error {
 // (persist calls it with the shard's commit lock held, so the snapshot read
 // transaction sees exactly the state the log frontier describes).
 func (s *Server) snapshotSource(shard int, emit func(key string, val []byte) error) error {
-	var kvs []tstruct.KV
+	var kvs []tstruct.PackedKV
 	err := s.sys.Atomic(func(tx *wtftm.Tx) error {
 		kvs = s.store.shards[shard].Snapshot(tx, kvs[:0])
 		return nil
@@ -371,7 +371,7 @@ func (s *Server) snapshotSource(shard int, emit func(key string, val []byte) err
 		return err
 	}
 	for _, kv := range kvs {
-		if err := emit(kv.Key, []byte(kv.Val.(string))); err != nil {
+		if err := emit(kv.Key, []byte(kv.Val)); err != nil {
 			return err
 		}
 	}

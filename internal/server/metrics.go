@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 
@@ -220,11 +221,19 @@ func newMetrics(s *Server) *metrics {
 	counter("wtfd_conns_opened_total", "Connections accepted.", s.connsOpened.Load)
 	counter("wtfd_stm_commits_total", "MV-STM read-write commits.", s.stm.Stats().Commits.Load)
 	counter("wtfd_stm_conflicts_total", "MV-STM validation conflicts.", s.stm.Stats().Conflicts.Load)
+
+	// The runtime's GC cost: what keeping the keyspace live on the heap
+	// charges every cycle (DESIGN.md §7).
+	r.FloatCounterFunc("go_gc_cpu_seconds_total", "Estimated CPU time spent in the garbage collector.", nil,
+		func() float64 { return readRuntimeStats().GCCPUSeconds })
+	counter("go_gc_cycles_total", "Completed GC cycles.", func() int64 { return int64(readRuntimeStats().GCCycles) })
+	r.GaugeFunc("go_heap_live_bytes", "Heap bytes marked live by the last GC cycle.", nil,
+		func() int64 { return int64(readRuntimeStats().HeapLive) })
 	return m
 }
 
 // boxShard attributes a box to a store shard by its name ("shard<N>.<...>"
-// — store.go names every bucket and size box that way); anything else maps
+// — store.go names every bucket box that way); anything else maps
 // to the trailing "other" slot.
 func boxShard(name string, shards int) int {
 	if !strings.HasPrefix(name, "shard") {
@@ -366,13 +375,45 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.statsReply())
+		enc.Encode(struct {
+			wire.StatsReply
+			Runtime runtimeStats `json:"runtime"`
+		}{s.statsReply(), readRuntimeStats()})
 	})
 	mux.HandleFunc("/debug/wtfd/slow", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.WriteSlowDump(w)
 	})
 	return mux
+}
+
+// runtimeStats is the Go runtime's GC cost, read from runtime/metrics only
+// when /metrics or /debug/wtfd/stats renders (never on a serving path, and
+// never on the STATS wire op).
+type runtimeStats struct {
+	GCCPUSeconds float64 `json:"go_gc_cpu_seconds_total"`
+	GCCycles     uint64  `json:"go_gc_cycles_total"`
+	HeapLive     uint64  `json:"go_heap_live_bytes"`
+}
+
+func readRuntimeStats() runtimeStats {
+	samples := [...]rtmetrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	rtmetrics.Read(samples[:])
+	var rs runtimeStats
+	if v := samples[0].Value; v.Kind() == rtmetrics.KindFloat64 {
+		rs.GCCPUSeconds = v.Float64()
+	}
+	if v := samples[1].Value; v.Kind() == rtmetrics.KindUint64 {
+		rs.GCCycles = v.Uint64()
+	}
+	if v := samples[2].Value; v.Kind() == rtmetrics.KindUint64 {
+		rs.HeapLive = v.Uint64()
+	}
+	return rs
 }
 
 // WriteSlowDump writes the flight recorder's contents as indented JSON

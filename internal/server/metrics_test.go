@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +97,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "threshold_ms") {
 		t.Fatalf("/debug/wtfd/slow body = %q", rec.Body.String())
+	}
+}
+
+// The Go runtime's GC cost series render on both debug endpoints with live
+// values read at render time.
+func TestRuntimeGCMetrics(t *testing.T) {
+	leakCheck(t)
+	s := startServer(t, Config{Shards: 2, Buckets: 8})
+	runtime.GC() // at least one completed cycle with a live heap to report
+
+	rec := httptest.NewRecorder()
+	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	prom := make(map[string]float64)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "go_") {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			prom[name] = v
+		}
+	}
+	for _, name := range []string{"go_gc_cpu_seconds_total", "go_gc_cycles_total", "go_heap_live_bytes"} {
+		if prom[name] <= 0 {
+			t.Errorf("/metrics %s = %v, want > 0 (all: %v)", name, prom[name], prom)
+		}
+	}
+	for _, typ := range []string{"# TYPE go_gc_cpu_seconds_total counter", "# TYPE go_gc_cycles_total counter", "# TYPE go_heap_live_bytes gauge"} {
+		if !strings.Contains(rec.Body.String(), typ) {
+			t.Errorf("/metrics missing %q", typ)
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/wtfd/stats", nil))
+	var doc struct {
+		Runtime runtimeStats `json:"runtime"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("stats JSON: %v", err)
+	}
+	if doc.Runtime.GCCycles == 0 || doc.Runtime.HeapLive == 0 || doc.Runtime.GCCPUSeconds <= 0 {
+		t.Fatalf("stats JSON runtime section = %+v", doc.Runtime)
 	}
 }
 

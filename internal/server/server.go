@@ -60,7 +60,8 @@ type Config struct {
 	// Shards is the number of store partitions (and the MULTI fan-out
 	// width); default 16.
 	Shards int
-	// Buckets is the per-shard hash-map bucket count; default 64.
+	// Buckets is the per-shard hash-map bucket count; default
+	// DefaultBuckets.
 	Buckets int
 	// Executors is the number of shard-affine executor goroutines; shard sh
 	// is owned by executor sh mod Executors, so all single-key traffic for
@@ -162,13 +163,19 @@ type Config struct {
 	execHook func(*wire.Request)
 }
 
+// DefaultBuckets is the per-shard bucket count when Config.Buckets is 0.
+// A packed bucket is copied on every write and scanned on every read, so the
+// cost of both grows with the entries per bucket: 256 keeps a 64k-key store
+// at 16 shards near 16 entries per bucket.
+const DefaultBuckets = 256
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Shards <= 0 {
 		out.Shards = 16
 	}
 	if out.Buckets <= 0 {
-		out.Buckets = 64
+		out.Buckets = DefaultBuckets
 	}
 	if out.Executors <= 0 {
 		if out.Workers > 0 {

@@ -13,22 +13,25 @@ import (
 // k shards fans out as k transactional futures, one per shard, so the
 // per-shard work runs in parallel inside one atomic request.
 //
-// Values are stored as Go strings (immutable), so a committed value handed
-// to a response writer can never be mutated by a later transaction — new
-// values install new versions instead. Together with the MV-STM's snapshot
+// Each shard is a tstruct.PackedMap: a bucket version is one immutable,
+// pointer-free blob of packed entries (values over tstruct.PackedInlineMax
+// bytes sit out of line in a per-bucket slice), so the GC marks a few
+// thousand bucket objects instead of every key and value. A committed value
+// handed to a response writer can never be mutated by a later transaction —
+// new values install new blobs instead. Together with the MV-STM's snapshot
 // reads this makes the post-commit hand-off privatization-safe (DESIGN.md
 // §7).
 type store struct {
-	shards []*tstruct.Map
+	shards []*tstruct.PackedMap
 }
 
 func newStore(stm *wtftm.STM, shards, buckets int) *store {
-	st := &store{shards: make([]*tstruct.Map, shards)}
+	st := &store{shards: make([]*tstruct.PackedMap, shards)}
 	for i := range st.shards {
 		// Unique per-shard box names keep recorded histories (Config.
 		// Recorder) attributable: the FSG oracle must see shard 0's bucket
 		// and shard 1's bucket as different variables.
-		st.shards[i] = tstruct.NewMapNamed(stm, fmt.Sprintf("shard%d", i), buckets)
+		st.shards[i] = tstruct.NewPackedMapNamed(stm, fmt.Sprintf("shard%d", i), buckets)
 	}
 	return st
 }
@@ -50,18 +53,6 @@ func (st *store) shardOf(key string) int {
 	return int(h % uint32(len(st.shards)))
 }
 
-// getFast serves one GET against shard sh outside any transaction, via the
-// map's lock-free read path (tstruct.Map.GetFast over mvstm.ReadLatest).
-// ok == false means the retry budget was exhausted by concurrent version
-// trims and the caller must fall back to a transactional read.
-func (st *store) getFast(sh int, key string) (val string, found bool, retries int, ok bool) {
-	v, found, retries, ok := st.shards[sh].GetFast(key)
-	if !ok || !found {
-		return "", found, retries, ok
-	}
-	return v.(string), true, retries, true
-}
-
 // shardOfBytes is shardOf over a key still in its wire buffer (same FNV-1a,
 // same shard assignment, no string).
 func (st *store) shardOfBytes(key []byte) int {
@@ -77,15 +68,14 @@ func (st *store) shardOfBytes(key []byte) int {
 	return int(h % uint32(len(st.shards)))
 }
 
-// getFastBytes is getFast without the key string: the read loop hands the
-// key down as the payload subslice it decoded, and the hash, bucket lookup
-// and entry comparisons all run over the bytes.
+// getFastBytes serves one GET against shard sh outside any transaction,
+// via the map's lock-free read path (tstruct.PackedMap.GetFastBytes over
+// mvstm.ReadLatest). The read loop hands the key down as the payload
+// subslice it decoded, so no key string is built. ok == false means the
+// retry budget was exhausted by concurrent version trims and the caller
+// must fall back to a transactional read.
 func (st *store) getFastBytes(sh int, key []byte) (val string, found bool, retries int, ok bool) {
-	v, found, retries, ok := st.shards[sh].GetFastBytes(key)
-	if !ok || !found {
-		return "", found, retries, ok
-	}
-	return v.(string), true, retries, true
+	return st.shards[sh].GetFastBytes(key)
 }
 
 // apply executes one command against the store through rw (a plain MV-STM
@@ -103,9 +93,9 @@ func (st *store) apply(rw wtftm.ReadWriter, c *wire.Cmd) wire.Result {
 		if !ok {
 			return wire.Result{Status: wire.StatusNotFound}
 		}
-		return wire.ValResult([]byte(v.(string)))
+		return wire.ValResult([]byte(v))
 	case wire.OpPut:
-		m.Put(rw, c.Key, string(c.Val))
+		m.Put(rw, c.Key, c.Val)
 		return wire.OKResult()
 	case wire.OpDel:
 		if !m.Delete(rw, c.Key) {
@@ -114,14 +104,14 @@ func (st *store) apply(rw wtftm.ReadWriter, c *wire.Cmd) wire.Result {
 		return wire.OKResult()
 	case wire.OpCAS:
 		cur, ok := m.Get(rw, c.Key)
-		if c.ExpectPresent != ok || (ok && cur.(string) != string(c.Expect)) {
+		if c.ExpectPresent != ok || (ok && cur != string(c.Expect)) {
 			res := wire.Result{Status: wire.StatusCASMismatch}
 			if ok {
-				res.Val, res.HasVal = []byte(cur.(string)), true
+				res.Val, res.HasVal = []byte(cur), true
 			}
 			return res
 		}
-		m.Put(rw, c.Key, string(c.Val))
+		m.Put(rw, c.Key, c.Val)
 		return wire.OKResult()
 	default:
 		return wire.ErrResult(fmt.Sprintf("server: %v is not a store command", c.Op))

@@ -1,9 +1,10 @@
 // Package tstruct provides transactional data structures built on versioned
-// boxes: a hash map, a FIFO queue, a sharded counter and a set. They compose
-// with transactional futures exactly like raw boxes do — a future that
-// touches a bucket conflicts only with sub-transactions touching the same
-// bucket — making them the natural shared-state layer for the concurrent
-// applications the paper's introduction motivates.
+// boxes: a hash map, a packed string→bytes hash map, a FIFO queue, a sharded
+// counter and a set. They compose with transactional futures exactly like
+// raw boxes do — a future that touches a bucket conflicts only with
+// sub-transactions touching the same bucket — making them the natural
+// shared-state layer for the concurrent applications the paper's
+// introduction motivates.
 //
 // All structures store immutable snapshots inside boxes (copy-on-write), so
 // readers never observe partial updates and the MV-STM's version chains stay
@@ -90,25 +91,6 @@ func (m *Map) GetFast(key string) (val any, found bool, retries int, ok bool) {
 	return nil, false, retries, true
 }
 
-// GetFastBytes is GetFast for a key that is still a byte slice in its wire
-// buffer: the bucket hash (maphash.Bytes equals maphash.String over the same
-// bytes) and the entry comparisons run directly over the slice, so the
-// caller materializes no key string — the last allocation on the serving
-// read path.
-func (m *Map) GetFastBytes(key []byte) (val any, found bool, retries int, ok bool) {
-	b := m.buckets[maphash.Bytes(m.seed, key)%uint64(len(m.buckets))]
-	v, retries, ok := m.stm.ReadLatest(b)
-	if !ok {
-		return nil, false, retries, false
-	}
-	for _, e := range v.([]mapEntry) {
-		if e.key == string(key) {
-			return e.val, true, retries, true
-		}
-	}
-	return nil, false, retries, true
-}
-
 // Put stores val under key, returning whether the key was new.
 func (m *Map) Put(tx mvstm.ReadWriter, key string, val any) bool {
 	b := m.bucket(key)
@@ -161,7 +143,7 @@ func (m *Map) ForEach(tx mvstm.ReadWriter, fn func(key string, val any) bool) {
 	}
 }
 
-// KV is one key-value pair, the unit of Snapshot/Restore bulk transfer.
+// KV is one key-value pair, the unit of Snapshot bulk transfer.
 type KV struct {
 	Key string
 	Val any
@@ -178,45 +160,6 @@ func (m *Map) Snapshot(tx mvstm.ReadWriter, dst []KV) []KV {
 		}
 	}
 	return dst
-}
-
-// Restore bulk-inserts kvs (later duplicates win). It rebuilds each touched
-// bucket once and writes the size box once, where n repeated Puts would copy
-// the growing bucket n times and serialize every restore transaction on the
-// size box — the difference between O(n) and O(n²) recovery.
-func (m *Map) Restore(tx mvstm.ReadWriter, kvs []KV) {
-	if len(kvs) == 0 {
-		return
-	}
-	byBucket := make([][]KV, len(m.buckets))
-	for _, kv := range kvs {
-		i := maphash.String(m.seed, kv.Key) % uint64(len(m.buckets))
-		byBucket[i] = append(byBucket[i], kv)
-	}
-	added := 0
-	for i, batch := range byBucket {
-		if len(batch) == 0 {
-			continue
-		}
-		entries := tx.Read(m.buckets[i]).([]mapEntry)
-		next := make([]mapEntry, len(entries), len(entries)+len(batch))
-		copy(next, entries)
-	insert:
-		for _, kv := range batch {
-			for j := range next {
-				if next[j].key == kv.Key {
-					next[j].val = kv.Val
-					continue insert
-				}
-			}
-			next = append(next, mapEntry{key: kv.Key, val: kv.Val})
-			added++
-		}
-		tx.Write(m.buckets[i], next)
-	}
-	if added != 0 {
-		tx.Write(m.size, tx.Read(m.size).(int)+added)
-	}
 }
 
 // Queue is a transactional FIFO queue using the classic two-list functional

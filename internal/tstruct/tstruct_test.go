@@ -316,7 +316,7 @@ func TestMinimumSizes(t *testing.T) {
 	})
 }
 
-func TestMapSnapshotRestore(t *testing.T) {
+func TestMapSnapshot(t *testing.T) {
 	stm := mvstm.New()
 	src := NewMapNamed(stm, "src", 8)
 	runTx(t, stm, func(tx *mvstm.Txn) error {
@@ -325,64 +325,22 @@ func TestMapSnapshotRestore(t *testing.T) {
 		}
 		return nil
 	})
-	var kvs []KV
+	kvs := []KV{{Key: "kept", Val: -1}}
 	runTx(t, stm, func(tx *mvstm.Txn) error {
-		kvs = src.Snapshot(tx, kvs[:0])
+		kvs = src.Snapshot(tx, kvs)
 		return nil
 	})
-	if len(kvs) != 50 {
-		t.Fatalf("Snapshot returned %d entries, want 50", len(kvs))
+	if len(kvs) != 51 || kvs[0].Key != "kept" {
+		t.Fatalf("Snapshot returned %d entries (first %q), want dst prefix + 50", len(kvs), kvs[0].Key)
 	}
-
-	// Restore into a map that already holds overlapping entries: later
-	// duplicates win, size counts only genuinely new keys.
-	dst := NewMapNamed(stm, "dst", 4) // different bucket count on purpose
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		dst.Put(tx, "k00", "stale")
-		dst.Put(tx, "extra", true)
-		return nil
-	})
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		dst.Restore(tx, kvs)
-		return nil
-	})
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		if n := dst.Len(tx); n != 51 {
-			t.Errorf("Len after restore = %d, want 51", n)
+	seen := make(map[string]bool)
+	for _, kv := range kvs[1:] {
+		var i int
+		if _, err := fmt.Sscanf(kv.Key, "k%02d", &i); err != nil || kv.Val != i || seen[kv.Key] {
+			t.Errorf("Snapshot entry %q = %v (dup %v)", kv.Key, kv.Val, seen[kv.Key])
 		}
-		for i := 0; i < 50; i++ {
-			k := fmt.Sprintf("k%02d", i)
-			if v, ok := dst.Get(tx, k); !ok || v != i {
-				t.Errorf("restored %s = (%v, %v), want %d", k, v, ok, i)
-			}
-		}
-		if _, ok := dst.Get(tx, "extra"); !ok {
-			t.Error("pre-existing entry lost by Restore")
-		}
-		return nil
-	})
-
-	// Duplicates inside one Restore call: last wins, counted once.
-	dup := NewMapNamed(stm, "dup", 2)
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		dup.Restore(tx, []KV{{Key: "a", Val: 1}, {Key: "a", Val: 2}})
-		return nil
-	})
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		if v, _ := dup.Get(tx, "a"); v != 2 {
-			t.Errorf("duplicate restore kept %v, want 2", v)
-		}
-		if dup.Len(tx) != 1 {
-			t.Errorf("duplicate restore Len = %d, want 1", dup.Len(tx))
-		}
-		return nil
-	})
-
-	// Restore(nil) is a no-op, not a panic.
-	runTx(t, stm, func(tx *mvstm.Txn) error {
-		dup.Restore(tx, nil)
-		return nil
-	})
+		seen[kv.Key] = true
+	}
 }
 
 func TestMapGetFast(t *testing.T) {

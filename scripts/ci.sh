@@ -15,8 +15,8 @@ go test ./...
 echo "== tier-1.5: vet =="
 go vet ./...
 
-echo "== tier-1.5: race (mvstm + core + conform + wtfd server/client/wire + wal/persist) =="
-go test -race ./internal/mvstm/ ./internal/core/ ./internal/conform/ ./internal/server/ ./internal/client/ ./internal/wire/ ./internal/wal/ ./internal/persist/
+echo "== tier-1.5: race (mvstm + core + conform + tstruct + wtfd server/client/wire + wal/persist) =="
+go test -race ./internal/mvstm/ ./internal/core/ ./internal/conform/ ./internal/tstruct/ ./internal/server/ ./internal/client/ ./internal/wire/ ./internal/wal/ ./internal/persist/
 
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
@@ -101,6 +101,16 @@ if [ "$FALLOCS" -gt 0 ]; then
 fi
 echo "   BenchmarkServerFastGet: ${FALLOCS} allocs/op (floor 0)"
 
+echo "== tier-1.5: MULTI executor-path smoke (64k-key store, B/op, allocs/op, GC CPU ns/op) =="
+# The multi8-skew request shape over a realistic keyspace. Reported, not
+# gated: its gc-cpu-ns/op column is where the keyspace's pointer-bearing
+# live heap shows up (the GC marks it on every cycle).
+go test -run '^$' -bench 'BenchmarkServerMulti$' -benchtime 2000x -benchmem ./internal/server/ |
+	grep '^BenchmarkServerMulti' || {
+	echo "ci: BenchmarkServerMulti did not complete" >&2
+	exit 1
+}
+
 echo "== tier-1.5: histogram record-path allocation guard (0 allocs/op) =="
 # obs.Histogram.Observe sits inside every serving stage (including the 33ns
 # fast-read sampler); it must never touch the heap.
@@ -141,7 +151,7 @@ echo "== tier-1.5: read fast-path smoke (clean fallback rate <= 1%, session orde
 # transactional writers, and the served monotonic-reads story across paths.
 go test -run TestFastReadCleanFallbackRate -count=1 ./internal/server/
 go test -race -count=1 -run 'TestReadLatestStress' ./internal/mvstm/
-go test -race -count=1 -run 'TestMapGetFastMatchesTransactionalGet' ./internal/tstruct/
+go test -race -count=1 -run 'TestMapGetFastMatchesTransactionalGet|TestPackedMapFastReadStress' ./internal/tstruct/
 go test -race -count=1 -run 'TestFastRead' ./internal/server/
 go test -race -count=1 -run 'TestChaosFastReadConformance' ./internal/chaos/
 
