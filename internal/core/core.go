@@ -121,6 +121,7 @@ type Stats struct {
 	EscapedFutures      atomic.Int64 // GAC futures that detached at top commit
 	EscapeReexecutions  atomic.Int64 // detached futures re-run in the evaluator
 	SegmentRollbacks    atomic.Int64 // partial continuation rollbacks (AtomicSegments)
+	RunnerSpawns        atomic.Int64 // runner goroutines started (Submit found no idle runner)
 }
 
 // StatsSnapshot is a plain-value copy of Stats.
@@ -128,7 +129,7 @@ type StatsSnapshot struct {
 	TopCommits, TopConflict, TopInternal                                   int64
 	FuturesSubmitted, MergedAtSubmission, MergedAtEvaluation               int64
 	FutureReexecutions, ImplicitEvaluations, EscapedFutures, EscapeReexecs int64
-	SegmentRollbacks                                                       int64
+	SegmentRollbacks, RunnerSpawns                                         int64
 }
 
 // Snapshot copies the counters.
@@ -145,6 +146,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		EscapedFutures:      s.EscapedFutures.Load(),
 		EscapeReexecs:       s.EscapeReexecutions.Load(),
 		SegmentRollbacks:    s.SegmentRollbacks.Load(),
+		RunnerSpawns:        s.RunnerSpawns.Load(),
 	}
 }
 
@@ -157,11 +159,12 @@ func (s StatsSnapshot) InternalAborts() int64 {
 
 // System orchestrates transactional futures over an MV-STM instance.
 type System struct {
-	stm    *mvstm.STM
-	opts   Options
-	stats  Stats
-	topSeq atomic.Int64
-	widSeq atomic.Int64 // unique ids for uncommitted writes (GAC resolution)
+	stm     *mvstm.STM
+	opts    Options
+	stats   Stats
+	topSeq  atomic.Int64
+	widSeq  atomic.Int64 // unique ids for uncommitted writes (GAC resolution)
+	runners runnerPool   // idle future-body goroutines (pool.go)
 }
 
 // New creates a futures engine over stm with the given options.
@@ -188,6 +191,11 @@ var errMVConflict = mvstm.ErrConflict
 type retrySignal struct{ cause error }
 
 type userAbort struct{ err error }
+
+// recording reports whether a Recorder is installed. Call sites whose op
+// names a future check it first, so the name is formatted only when it is
+// consumed.
+func (s *System) recording() bool { return s.opts.Recorder != nil }
 
 func (s *System) record(op history.Op) {
 	if r := s.opts.Recorder; r != nil {

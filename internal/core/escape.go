@@ -46,7 +46,7 @@ func buildDetach(f *Future) *detachRec {
 	defer t.mu.RUnlock()
 	seenR := make(map[*mvstm.VBox]bool)
 	seenW := make(map[*mvstm.VBox]int)
-	for _, c := range chain(f.vertex) {
+	for c := f.vertex; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
 			if seenR[b] {
@@ -103,6 +103,10 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 
 	switch f.getState() {
 	case fMerged:
+		if f.isInvalidated() {
+			// Merged into a chain its spawning transaction discarded.
+			return nil, ErrStaleFuture
+		}
 		// Serialized within (and committed by) its spawning transaction —
 		// including LAC implicit evaluations. Idempotent repeated
 		// evaluation: hand back the committed result.
@@ -164,7 +168,9 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 		tx.boundaryLocked()
 		top.unlockG()
 		top.sys.stats.MergedAtEvaluation.Add(1)
-		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureMerge, Arg: "evaluation/escaped " + f.name()})
+		if top.sys.recording() {
+			top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureMerge, Arg: "evaluation/escaped " + f.name()})
+		}
 		f.mu.Lock()
 		res := f.result
 		f.mu.Unlock()
@@ -175,9 +181,11 @@ func (tx *Tx) evaluateForeign(f *Future) (any, error) {
 	// Stale: re-execute the body at this evaluation point, inside the
 	// evaluating transaction.
 	top.sys.stats.EscapeReexecutions.Add(1)
-	top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
-	res, err := tx.runInline(f.body, f.name())
-	if err != nil {
+	if top.sys.recording() {
+		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
+	}
+	res, err, _ := tx.runInline(f)
+	if err != nil && top.sys.recording() {
 		top.sys.record(history.Op{Top: top.id, Flow: tx.cur.flow, Kind: history.FutureAbort, Arg: f.name()})
 	}
 	f.mu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +50,6 @@ type Future struct {
 	sys  *System
 	top  *topTx
 	id   int
-	nm   string
 	flow int
 	body func(*Tx) (any, error)
 
@@ -58,13 +58,13 @@ type Future struct {
 	vertex *vertex
 	cont   *vertex
 
-	// ftx is the body's Tx handle, created at Submit (under top.mu) so the
+	// ftx is the body's Tx handle, set up at Submit (under top.mu) so the
 	// flow's visible-write index is registered before the body runs.
-	ftx *Tx
+	ftx Tx
 
 	// prevInFlow is the previously submitted future of the same spawning
 	// flow; under SO semantics this future's merge waits for it (the
-	// paper's straggler effect, Fig. 3).
+	// paper's straggler effect, Fig. 3). Unset under WO.
 	prevInFlow *Future
 
 	// submitSegment is the AtomicSegments segment this future was submitted
@@ -96,7 +96,13 @@ type Future struct {
 	// computed when the future settles is reused verbatim by a later
 	// evaluation-point validation; the tail vertex id is kept as a staleness
 	// guard. Guarded by top.mu.
-	sets *chainSets
+	sets chainSets
+
+	// home is the vertex the future's effects landed in when it reached
+	// fMerged: its merge target, or the head of its inline re-execution. A
+	// later discard of home (directly or through the merges that folded it
+	// on) cancels the future (see discardChain). Guarded by top.mu.
+	home *vertex
 
 	state  atomic.Int32
 	result any   // body result; final once state is fMerged
@@ -114,10 +120,12 @@ type Future struct {
 	final    bool
 }
 
-// nm is the cached display name ("T<top>.F<id>"), fixed at construction;
-// name() is called on every history record and scheduler yield involving the
-// future, so formatting it each time was measurable.
-func (f *Future) name() string { return f.nm }
+// name is the future's display name ("T<top>.F<id>"). Only history records
+// and scheduler hooks consume it, so call sites format it only when a
+// Recorder or Hook is installed.
+func (f *Future) name() string {
+	return "T" + strconv.FormatInt(f.top.id, 10) + ".F" + strconv.Itoa(f.id)
+}
 
 // Done returns a channel that closes when the future's body has finished
 // executing. Benchmark harnesses use it to evaluate futures out of order as
@@ -141,9 +149,9 @@ func (f *Future) addExtraPathWrites(boxes map[*mvstm.VBox]struct{}) {
 // chainSets holds the read/write box sets of a completed future's chain and
 // their Bloom summaries, cached on the Future (see Future.sets).
 type chainSets struct {
-	tail     int // id of the chain tail at computation time
-	writes   map[*mvstm.VBox]struct{}
-	reads    map[*mvstm.VBox]struct{}
+	tail     int // id of the chain tail at computation time (0: never computed)
+	writes   iset[struct{}]
+	reads    iset[struct{}]
 	writeSum uint64
 	readSum  uint64
 }
@@ -156,19 +164,27 @@ func (f *Future) chainSetsLocked() *chainSets {
 	for tail.next != nil {
 		tail = tail.next
 	}
-	if f.sets == nil || f.sets.tail != tail.id {
-		cs := &chainSets{tail: tail.id}
-		cs.writes, cs.writeSum = chainWriteBoxes(f.vertex)
-		cs.reads, cs.readSum = chainReadBoxes(f.vertex, f.flow)
-		f.sets = cs
+	cs := &f.sets
+	if cs.tail != tail.id {
+		*cs = chainSets{tail: tail.id}
+		cs.writeSum = chainWriteBoxes(f.vertex, &cs.writes)
+		cs.readSum = chainReadBoxes(f.vertex, f.flow, &cs.reads)
 	}
-	return f.sets
+	return cs
 }
 
 // extraConflict reports whether the chain read a box in extraPathWrites,
 // summary-gated. Caller holds top.mu.
 func (f *Future) extraConflict(cs *chainSets) bool {
-	return cs.readSum&f.extraSum != 0 && intersects(cs.reads, f.extraPathWrites)
+	if cs.readSum&f.extraSum == 0 {
+		return false
+	}
+	for b := range cs.reads.all() {
+		if _, ok := f.extraPathWrites[b]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (f *Future) getState() futState  { return futState(f.state.Load()) }
@@ -176,22 +192,29 @@ func (f *Future) setState(s futState) { f.state.Store(int32(s)) }
 func (f *Future) invalidate()         { f.invalid.Store(true) }
 func (f *Future) isInvalidated() bool { return f.invalid.Load() }
 
-// run executes the body on its own goroutine and then classifies the
-// execution (the paper's future commit protocol).
+// run executes the body on a runner goroutine (pool.go) and then classifies
+// the execution (the paper's future commit protocol).
 func (f *Future) run() {
-	if h := f.sys.opts.Hook; h != nil {
+	sys := f.sys
+	if h := sys.opts.Hook; h != nil {
 		h.TaskBegin()
 		defer h.TaskEnd()
 	}
-	tx := f.ftx
-	f.sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureBegin, Arg: f.name()})
+	tx := &f.ftx
+	if sys.recording() {
+		sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureBegin, Arg: f.name()})
+	}
 	res, err, retry := runBody(f.body, tx)
 	close(f.execDone)
 	defer func() {
-		close(f.settled)
+		// Count the settlement before announcing it: a commit that saw every
+		// future settled then also sees none outstanding, and takes no pin.
 		f.top.settleOne()
+		close(f.settled)
 	}()
-	f.sys.yield(sched.PointFutureSettle, f.name())
+	if h := sys.opts.Hook; h != nil {
+		h.Yield(sched.PointFutureSettle, f.name())
+	}
 
 	if retry != nil || f.top.aborted.Load() {
 		f.setState(fStale)
@@ -204,7 +227,9 @@ func (f *Future) run() {
 		f.err = err
 		f.setState(fUserAborted)
 		f.top.unlockG()
-		f.sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+		if sys.recording() {
+			sys.record(history.Op{Top: f.top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+		}
 		return
 	}
 
@@ -245,10 +270,11 @@ func (f *Future) run() {
 	}
 	f.result = res
 	cs := f.chainSetsLocked()
-	canMergeAtSubmission := !forwardConflicts(f.cont, cs.writes, cs.writeSum, f.vertex) &&
+	canMergeAtSubmission := !forwardConflicts(f.cont, &cs.writes, cs.writeSum, f.vertex) &&
 		!f.extraConflict(cs)
 	if canMergeAtSubmission {
-		top.mergeChain(f.vertex, f.vertex.pred, nil)
+		f.home = f.vertex.pred
+		top.mergeChain(f.vertex, f.home, nil)
 		f.setState(fMerged)
 		f.sys.stats.MergedAtSubmission.Add(1)
 		f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureMerge, Arg: "submission"})
@@ -317,6 +343,12 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 			panic(&retrySignal{cause: errSOConflict})
 
 		case fMerged:
+			if f.isInvalidated() {
+				// The future merged into a chain that was later discarded:
+				// its serialization point, and its writes, went with it.
+				top.unlockG()
+				return nil, ErrStaleFuture
+			}
 			// Idempotent repeated evaluation: return the memoized result.
 			// The evaluation is still a sub-transaction boundary.
 			tx.boundaryLocked()
@@ -338,7 +370,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 			}
 			{
 				cs := f.chainSetsLocked()
-				conflict, ok := backwardConflicts(tx.cur, f.vertex.pred, cs.reads, cs.readSum)
+				conflict, ok := backwardConflicts(tx.cur, f.vertex.pred, &cs.reads, cs.readSum)
 				if faultSkipBackwardValidation {
 					// conform_fault: pretend backward validation passed. The
 					// conformance harness must flag the resulting histories.
@@ -349,6 +381,7 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 					// the evaluator's (iCommitting) sub-transaction.
 					cur := tx.cur
 					cur.status = vICommitted
+					f.home = cur
 					top.mergeChain(f.vertex, cur, cur)
 					// The fold just landed the chain's writes in cur, which
 					// becomes a proper ancestor of the next vertex.
@@ -372,16 +405,21 @@ func (tx *Tx) evaluateLocal(f *Future) (any, error) {
 			top.unlockG()
 
 			f.sys.stats.FutureReexecutions.Add(1)
-			f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
-			res, err := tx.runInline(f.body, f.name())
+			if f.sys.recording() {
+				f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+			}
+			res, err, head := tx.runInline(f)
 
 			top.lockG()
 			if err != nil {
 				f.err = err
 				f.setState(fUserAborted)
-				f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+				if f.sys.recording() {
+					f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
+				}
 			} else {
 				f.result = res
+				f.home = head
 				f.setState(fMerged)
 				f.sys.stats.MergedAtEvaluation.Add(1)
 				f.sys.record(history.Op{Top: top.id, Flow: f.flow, Kind: history.FutureMerge, Arg: "evaluation"})
@@ -407,12 +445,12 @@ func (tx *Tx) boundaryLocked() {
 	tx.cur = tx.top.newVertex(cur.flow, cur)
 }
 
-// runInline executes body synchronously as a fresh sub-transaction chain
+// runInline executes f's body synchronously as a fresh sub-transaction chain
 // positioned at the caller's current point (used to re-execute conflicting
 // futures at their evaluation point). On success the chain is left
 // iCommitted on the caller's predecessor path; on a body error it is
-// discarded.
-func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) {
+// discarded. head is the inline chain's first vertex.
+func (tx *Tx) runInline(f *Future) (res any, err error, head *vertex) {
 	top := tx.top
 	top.lockG()
 	cur := tx.cur
@@ -420,15 +458,16 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 	rv := top.newVertex(top.nextFlow(), cur)
 	// Splice the inline chain into the evaluator's same-flow chain links so
 	// that, if the evaluator is itself a future, its eventual merge folds
-	// the re-execution's effects too (chain() follows next pointers).
+	// the re-execution's effects too (chain walks follow next pointers).
 	cur.next = rv
 	sub := &Tx{top: top, cur: rv}
 	top.flowTx[rv.flow] = sub
 	top.unlockG()
 
-	f := top.sys
-	f.record(history.Op{Top: top.id, Flow: rv.flow, Kind: history.FutureBegin, Arg: label})
-	res, err, retry := runBody(body, sub)
+	if sys := top.sys; sys.recording() {
+		sys.record(history.Op{Top: top.id, Flow: rv.flow, Kind: history.FutureBegin, Arg: f.name()})
+	}
+	res, err, retry := runBody(f.body, sub)
 	if retry != nil {
 		panic(retry)
 	}
@@ -458,5 +497,5 @@ func (tx *Tx) runInline(body func(*Tx) (any, error), label string) (any, error) 
 		}
 	}
 	top.unlockG()
-	return res, err
+	return res, err, rv
 }

@@ -20,8 +20,12 @@ const (
 	// vICommitted: the vertex's updates are visible to the sub-transactions
 	// serialized after it within the same top-level transaction.
 	vICommitted
-	// vRemoved: the vertex was merged away when its future serialized.
+	// vRemoved: the vertex was merged away when its future serialized; its
+	// effects now live in the vertex named by into.
 	vRemoved
+	// vDiscarded: the vertex was dropped without folding its writes (its
+	// future aborted or re-executes, or a segment rolled back).
+	vDiscarded
 )
 
 // readObs describes the source a read observed. Exactly one of ver (a
@@ -48,7 +52,6 @@ type writeEntry struct {
 type vertex struct {
 	id   int
 	flow int // logical thread of control (0 = main flow, one per future)
-	top  *topTx
 
 	// Topology, guarded by top.mu. pred is the unique predecessor (the
 	// construction never creates backward bifurcations — see footnote 1 of
@@ -57,6 +60,9 @@ type vertex struct {
 	next   *vertex
 	succs  []*vertex
 	status vstatus
+	// succBuf backs succs for its first two entries (a spawner's future and
+	// continuation), so linking a vertex allocates nothing.
+	succBuf [2]*vertex
 
 	// Data sets, guarded by vmu (they are read by validators while the
 	// owning flow appends). readSum/writeSum are Bloom summaries of the box
@@ -76,9 +82,23 @@ type vertex struct {
 
 	// fut is non-nil on the first vertex of a future body.
 	fut *Future
+
+	// into is the vertex a removed (merged) vertex folded into. Guarded by
+	// top.mu.
+	into *vertex
 }
 
-func (v *vertex) removed() bool { return v.status == vRemoved }
+// removed reports whether v left G, by a merge or a discard.
+func (v *vertex) removed() bool { return v.status >= vRemoved }
+
+// discarded reports whether v's effects were dropped: v, or the vertex its
+// merges folded it into (transitively), was discarded. Caller holds top.mu.
+func (v *vertex) discarded() bool {
+	for v.status == vRemoved {
+		v = v.into
+	}
+	return v.status == vDiscarded
+}
 
 // newVertex allocates a vertex in flow, linked after pred. Vertices come
 // from the transaction's slab (see pool.go); their data sets start inline
@@ -88,78 +108,69 @@ func (t *topTx) newVertex(flow int, pred *vertex) *vertex {
 	v := t.allocVertex()
 	v.id = t.nextVID
 	v.flow = flow
-	v.top = t
 	v.pred = pred
 	v.status = vActive
 	if pred != nil {
 		v.segment = pred.segment
-		pred.succs = append(pred.succs, v)
+		pred.addSucc(v)
 		if pred.flow == flow {
 			pred.next = v
 		}
 	}
-	t.allVertices = append(t.allVertices, v)
 	return v
 }
 
-// chain returns the same-flow vertex chain rooted at v, in execution order.
-// Caller holds top.mu.
-func chain(v *vertex) []*vertex {
-	var out []*vertex
-	for c := v; c != nil; c = c.next {
-		out = append(out, c)
+// addSucc appends c to v's successors. Caller holds top.mu.
+func (v *vertex) addSucc(c *vertex) {
+	if v.succs == nil {
+		v.succs = v.succBuf[:0]
 	}
-	return out
+	v.succs = append(v.succs, c)
 }
 
-// chainWriteBoxes returns the union of boxes written along the chain rooted
-// at v, with the set's Bloom summary. Caller holds top.mu.
-func chainWriteBoxes(v *vertex) (map[*mvstm.VBox]struct{}, uint64) {
-	out := make(map[*mvstm.VBox]struct{})
-	var sum uint64
-	for _, c := range chain(v) {
+// inChain reports whether v is on the same-flow chain rooted at head. Chains
+// are a vertex or two, so a walk beats building a lookup set. Caller holds
+// top.mu.
+func inChain(head, v *vertex) bool {
+	for c := head; c != nil; c = c.next {
+		if c == v {
+			return true
+		}
+	}
+	return false
+}
+
+// chainWriteBoxes collects the boxes written along the chain rooted at v
+// into out, with the set's Bloom summary. Caller holds top.mu.
+func chainWriteBoxes(v *vertex, out *iset[struct{}]) (sum uint64) {
+	for c := v; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b := range c.writes.all() {
-			out[b] = struct{}{}
+			out.put(b, struct{}{})
 			sum |= b.Summary()
 		}
 		c.vmu.Unlock()
 	}
-	return out, sum
+	return sum
 }
 
-// chainReadBoxes returns the boxes read along the chain rooted at v,
-// excluding reads that observed a write originating in flow self (a future
-// re-reading its own chain's writes never conflicts with reordering the
-// whole chain), with the set's Bloom summary. Caller holds top.mu.
-func chainReadBoxes(v *vertex, self int) (map[*mvstm.VBox]struct{}, uint64) {
-	out := make(map[*mvstm.VBox]struct{})
-	var sum uint64
-	for _, c := range chain(v) {
+// chainReadBoxes collects the boxes read along the chain rooted at v into
+// out, excluding reads that observed a write originating in flow self (a
+// future re-reading its own chain's writes never conflicts with reordering
+// the whole chain), with the set's Bloom summary. Caller holds top.mu.
+func chainReadBoxes(v *vertex, self int, out *iset[struct{}]) (sum uint64) {
+	for c := v; c != nil; c = c.next {
 		c.vmu.Lock()
 		for b, obs := range c.reads.all() {
 			if obs.ver == nil && obs.flow == self {
 				continue
 			}
-			out[b] = struct{}{}
+			out.put(b, struct{}{})
 			sum |= b.Summary()
 		}
 		c.vmu.Unlock()
 	}
-	return out, sum
-}
-
-// intersects reports whether the two box sets share an element.
-func intersects(a map[*mvstm.VBox]struct{}, b map[*mvstm.VBox]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for x := range a {
-		if _, ok := b[x]; ok {
-			return true
-		}
-	}
-	return false
+	return sum
 }
 
 // forwardConflicts reports whether any vertex forward-reachable from start
@@ -168,13 +179,15 @@ func intersects(a map[*mvstm.VBox]struct{}, b map[*mvstm.VBox]struct{}) bool {
 // self-reads never conflict with relocating the whole chain). This is the
 // paper's forward validation: serializing a future at its submission point
 // is safe only if no sub-transaction ordered after its continuation observed
-// state the future is about to overwrite. Caller holds top.mu.
-func forwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum uint64, skip *vertex) bool {
-	if len(writes) == 0 {
+// state the future is about to overwrite. G is a tree (every vertex has one
+// pred and sits in that pred's succs alone; re-rooting moves it), so the walk
+// reaches each vertex once and needs no visited set. Caller holds top.mu.
+func forwardConflicts(start *vertex, writes *iset[struct{}], wsum uint64, skip *vertex) bool {
+	if writes.size() == 0 {
 		return false
 	}
-	seen := map[*vertex]bool{start: true}
-	stack := []*vertex{start}
+	var buf [16]*vertex
+	stack := append(buf[:0], start)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -187,7 +200,7 @@ func forwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum uint6
 		// scan on a (possibly false-positive) overlap.
 		if v.readSum&wsum != 0 {
 			for b := range v.reads.all() {
-				if _, ok := writes[b]; ok {
+				if _, ok := writes.get(b); ok {
 					hit = true
 					break
 				}
@@ -197,12 +210,7 @@ func forwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum uint6
 		if hit {
 			return true
 		}
-		for _, s := range v.succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
+		stack = append(stack, v.succs...)
 	}
 	return false
 }
@@ -215,7 +223,7 @@ func forwardConflicts(start *vertex, writes map[*mvstm.VBox]struct{}, wsum uint6
 // read none of what they wrote. The second result is false if `until` is not
 // an ancestor of `from` (a structurally invalid evaluation; the caller must
 // re-execute). Caller holds top.mu.
-func backwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, rsum uint64) (conflict, ok bool) {
+func backwardConflicts(from, until *vertex, reads *iset[struct{}], rsum uint64) (conflict, ok bool) {
 	for v := from; v != nil; v = v.pred {
 		if v == until {
 			return false, true
@@ -224,7 +232,7 @@ func backwardConflicts(from, until *vertex, reads map[*mvstm.VBox]struct{}, rsum
 		hit := false
 		if v.writeSum&rsum != 0 {
 			for b := range v.writes.all() {
-				if _, in := reads[b]; in {
+				if _, in := reads.get(b); in {
 					hit = true
 					break
 				}
@@ -256,70 +264,20 @@ func pathWriteBoxes(from, until *vertex) map[*mvstm.VBox]struct{} {
 // mergeChain serializes the (completed) chain rooted at head into target:
 // the chain's writes fold into target's write set in chain order, its reads
 // fold into target's read set (preserving them for later validations) and
-// into the top-level validation set, its vertices are removed, and any
-// non-chain children (futures the chain spawned that are still pending) are
-// re-rooted onto target.
-//
-// Re-rooting relocates a pending child future in G: the writes that are
-// logically ordered between the child's observation point and its new
-// position — the chain's own writes after the child's spawn, plus (when
-// merging at an evaluation point) the writes on the path from the spawner to
-// the evaluation point — are accumulated into the child's extraPathWrites,
-// which both of the child's validations consult. evalFrom is nil when
-// serializing at the submission point, or the evaluating vertex when
+// into the top-level validation set, its vertices are removed (forwarding to
+// target through into), and any non-chain children (futures the chain
+// spawned that are still pending) are re-rooted onto target. evalFrom is nil
+// when serializing at the submission point, or the evaluating vertex when
 // serializing at an evaluation point. Caller holds top.mu.
 func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
-	cs := chain(head)
-	inChain := make(map[*vertex]bool, len(cs))
-	for _, c := range cs {
-		inChain[c] = true
+	if hasPendingChildren(head) {
+		t.rerootChildren(head, target, evalFrom)
 	}
-
-	// Writes between the chain's old position and its new one (only when
-	// relocating forward to an evaluation point).
-	var relocW map[*mvstm.VBox]struct{}
-	if evalFrom != nil {
-		relocW = pathWriteBoxes(evalFrom, head.pred)
-	}
-
-	// Single reverse pass: when visiting cs[i], acc holds exactly the boxes
-	// written by cs[i+1:] — the chain suffix after the vertex that spawned a
-	// given child. Children are re-rooted and handed their extras here,
-	// before cs[i]'s own writes fold into the accumulator (addExtraPathWrites
-	// copies, so sharing the one mutable accumulator is safe).
-	acc := make(map[*mvstm.VBox]struct{})
-	for i := len(cs) - 1; i >= 0; i-- {
-		c := cs[i]
-		for _, child := range c.succs {
-			if inChain[child] || child.removed() {
-				continue
-			}
-			child.pred = target
-			target.succs = append(target.succs, child)
-			if f := child.fut; f != nil {
-				f.addExtraPathWrites(acc)
-				f.addExtraPathWrites(relocW)
-				if inChain[f.cont] {
-					f.cont = target
-				}
-			}
-		}
-		c.vmu.Lock()
-		for b := range c.writes.all() {
-			acc[b] = struct{}{}
-		}
-		c.vmu.Unlock()
-	}
-
-	// Fold the chain into target, collecting the write patch (chain order,
-	// later writes win — the same precedence the fold applies).
-	patch := make(map[*mvstm.VBox]writeEntry, len(acc))
-	for _, c := range cs {
+	for c := head; c != nil; c = c.next {
 		c.vmu.Lock()
 		target.vmu.Lock()
 		for b, we := range c.writes.all() {
 			target.writes.put(b, we)
-			patch[b] = we
 		}
 		for b, obs := range c.reads.all() {
 			if _, ok := target.reads.get(b); !ok {
@@ -339,8 +297,78 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 		target.vmu.Unlock()
 		c.vmu.Unlock()
 		c.status = vRemoved
+		c.into = target
 		c.succs = nil
 	}
+	unlinkFromPred(head)
+	t.pushMergePatch(head, target, evalFrom)
+}
+
+// hasPendingChildren reports whether a vertex of the chain rooted at head
+// spawned a future that is still in G. Caller holds top.mu.
+func hasPendingChildren(head *vertex) bool {
+	for c := head; c != nil; c = c.next {
+		for _, child := range c.succs {
+			if !child.removed() && !inChain(head, child) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rerootChildren moves the pending children of the chain rooted at head onto
+// target, ahead of a merge. Re-rooting relocates a pending child future in G:
+// the writes that are logically ordered between the child's observation
+// point and its new position — the chain's own writes after the child's
+// spawn, plus (when merging at an evaluation point) the writes on the path
+// from the spawner to the evaluation point — are accumulated into the
+// child's extraPathWrites, which both of the child's validations consult.
+// Caller holds top.mu.
+func (t *topTx) rerootChildren(head, target, evalFrom *vertex) {
+	var cs []*vertex
+	for c := head; c != nil; c = c.next {
+		cs = append(cs, c)
+	}
+	// Writes between the chain's old position and its new one (only when
+	// relocating forward to an evaluation point).
+	var relocW map[*mvstm.VBox]struct{}
+	if evalFrom != nil {
+		relocW = pathWriteBoxes(evalFrom, head.pred)
+	}
+	// Single reverse pass: when visiting cs[i], acc holds exactly the boxes
+	// written by cs[i+1:] — the chain suffix after the vertex that spawned a
+	// given child. Children are re-rooted and handed their extras here,
+	// before cs[i]'s own writes fold into the accumulator (addExtraPathWrites
+	// copies, so sharing the one mutable accumulator is safe).
+	acc := make(map[*mvstm.VBox]struct{})
+	for i := len(cs) - 1; i >= 0; i-- {
+		c := cs[i]
+		for _, child := range c.succs {
+			if child.removed() || inChain(head, child) {
+				continue
+			}
+			child.pred = target
+			target.addSucc(child)
+			if f := child.fut; f != nil {
+				f.addExtraPathWrites(acc)
+				f.addExtraPathWrites(relocW)
+				if inChain(head, f.cont) {
+					f.cont = target
+				}
+			}
+		}
+		c.vmu.Lock()
+		for b := range c.writes.all() {
+			acc[b] = struct{}{}
+		}
+		c.vmu.Unlock()
+	}
+}
+
+// unlinkFromPred removes head from its predecessor's successor list.
+// Caller holds top.mu.
+func unlinkFromPred(head *vertex) {
 	if p := head.pred; p != nil {
 		for i, s := range p.succs {
 			if s == head {
@@ -349,22 +377,52 @@ func (t *topTx) mergeChain(head, target *vertex, evalFrom *vertex) {
 			}
 		}
 	}
-	t.pushMergePatch(patch, target, evalFrom)
 }
 
-// pushMergePatch propagates a merge to the visible-write indexes of the
-// flows it affects: those whose current vertex has target as a proper
-// ancestor. A submission-point merge leaves the graph's shape around the
-// chain unchanged (target is the chain's old predecessor), so affected flows
-// receive the write patch directly — unless a vertex strictly between their
-// current vertex and target wrote one of the patched boxes, in which case
-// the nearer write must keep precedence and the index is rebuilt instead.
-// An evaluation-point merge relocates re-rooted children onto a genuinely
-// different ancestor path, so every affected flow is invalidated. The
-// evaluating flow's own vertex IS target (never a proper ancestor of
-// itself): it updates its index at its boundary via absorbWrites. Caller
-// holds top.mu exclusively.
-func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFrom *vertex) {
+// chainWrote reports whether a vertex of the chain rooted at head wrote b.
+// Caller holds top.mu.
+func chainWrote(head *vertex, b *mvstm.VBox) bool {
+	for c := head; c != nil; c = c.next {
+		c.vmu.Lock()
+		_, ok := c.writes.get(b)
+		c.vmu.Unlock()
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// chainPatch returns the write set of the merged chain rooted at head, in
+// chain order (later writes win — the precedence the fold applied). Caller
+// holds top.mu.
+func chainPatch(head *vertex) map[*mvstm.VBox]writeEntry {
+	patch := make(map[*mvstm.VBox]writeEntry)
+	for c := head; c != nil; c = c.next {
+		c.vmu.Lock()
+		for b, we := range c.writes.all() {
+			patch[b] = we
+		}
+		c.vmu.Unlock()
+	}
+	return patch
+}
+
+// pushMergePatch propagates the merge of the chain rooted at head to the
+// visible-write indexes of the flows it affects: those whose current vertex
+// has target as a proper ancestor. A submission-point merge leaves the
+// graph's shape around the chain unchanged (target is the chain's old
+// predecessor), so affected flows receive the chain's write patch directly —
+// unless a vertex strictly between their current vertex and target wrote
+// one of the patched boxes, in which case the nearer write must keep
+// precedence and the index is rebuilt instead. An evaluation-point merge
+// relocates re-rooted children onto a genuinely different ancestor path, so
+// every affected flow is invalidated. The evaluating flow's own vertex IS
+// target (never a proper ancestor of itself): it updates its index at its
+// boundary via absorbWrites. The patch is built only once a flow takes it.
+// Caller holds top.mu exclusively.
+func (t *topTx) pushMergePatch(head, target, evalFrom *vertex) {
+	var patch map[*mvstm.VBox]writeEntry
 	for _, ftx := range t.flowTx {
 		c := ftx.cur
 		if c == nil || c == target {
@@ -379,7 +437,7 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 			if !blocked {
 				v.vmu.Lock()
 				for b := range v.writes.all() {
-					if _, in := patch[b]; in {
+					if chainWrote(head, b) {
 						blocked = true
 						break
 					}
@@ -394,9 +452,15 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 			ftx.markDirtyLocked()
 			continue
 		}
-		if len(patch) == 0 || ftx.vis == nil || ftx.visDirty {
-			// Nothing to fold, or the index is unbuilt / already awaiting a
-			// full rebuild: the next refreshVis covers it.
+		if ftx.vis == nil || ftx.visDirty {
+			// The index is unbuilt or already awaiting a full rebuild: the
+			// next refreshVis covers the merge.
+			continue
+		}
+		if patch == nil {
+			patch = chainPatch(head)
+		}
+		if len(patch) == 0 {
 			continue
 		}
 		ftx.pending = append(ftx.pending, patch)
@@ -405,34 +469,21 @@ func (t *topTx) pushMergePatch(patch map[*mvstm.VBox]writeEntry, target, evalFro
 }
 
 // discardChain removes the chain rooted at head without folding its writes
-// (used for user-aborted futures and for stale executions about to be
-// re-run). Pending child futures spawned by the chain are invalidated: they
-// can never serialize, so their eventual evaluation re-executes them.
+// (used for user-aborted futures, for stale executions about to be re-run
+// and for rolled-back segments). Pending child futures spawned by the chain
+// are invalidated: they can never serialize, so their evaluation reports
+// ErrStaleFuture. So are futures that already merged into a discarded
+// vertex — at submission into their spawning chain, at evaluation into an
+// evaluator's chain, or as an inline re-execution spliced into one: their
+// serialization point went with the chain, and their writes with it.
 // Caller holds top.mu.
 func (t *topTx) discardChain(head *vertex) {
-	cs := chain(head)
-	inChain := make(map[*vertex]bool, len(cs))
-	for _, c := range cs {
-		inChain[c] = true
-	}
-	for _, c := range cs {
-		for _, child := range c.succs {
-			if !inChain[child] && !child.removed() {
-				if child.fut != nil {
-					child.fut.invalidate()
-					t.sys.record(history.Op{Top: t.id, Flow: child.flow, Kind: history.FutureAbort, Arg: child.fut.name()})
-				}
-				t.discardChain(child)
-			}
-		}
-		c.status = vRemoved
-		c.succs = nil
-	}
-	if p := head.pred; p != nil {
-		for i, s := range p.succs {
-			if s == head {
-				p.succs = append(p.succs[:i], p.succs[i+1:]...)
-				break
+	t.dropChain(head)
+	for _, f := range t.futures {
+		if f.getState() == fMerged && !f.isInvalidated() && f.home.discarded() {
+			f.invalidate()
+			if t.sys.recording() {
+				t.sys.record(history.Op{Top: t.id, Flow: f.flow, Kind: history.FutureAbort, Arg: f.name()})
 			}
 		}
 	}
@@ -440,6 +491,27 @@ func (t *topTx) discardChain(head *vertex) {
 	// them, and the discarded writes vanish without a fold: invalidate every
 	// flow's visible-write index.
 	t.invalidateAllVis()
+}
+
+// dropChain marks the chain rooted at head and every pending child subtree
+// discarded, invalidating the children's futures. Caller holds top.mu.
+func (t *topTx) dropChain(head *vertex) {
+	for c := head; c != nil; c = c.next {
+		for _, child := range c.succs {
+			if !child.removed() && !inChain(head, child) {
+				if child.fut != nil {
+					child.fut.invalidate()
+					if t.sys.recording() {
+						t.sys.record(history.Op{Top: t.id, Flow: child.flow, Kind: history.FutureAbort, Arg: child.fut.name()})
+					}
+				}
+				t.dropChain(child)
+			}
+		}
+		c.status = vDiscarded
+		c.succs = nil
+	}
+	unlinkFromPred(head)
 }
 
 // invalidateAllVis dirties every registered flow's visible-write index.

@@ -2,24 +2,119 @@ package core
 
 import (
 	"iter"
+	"sync"
+	"time"
 
 	"wtftm/internal/mvstm"
 )
 
-// This file holds the engine's allocation plumbing, mirroring the substrate's
-// internal/mvstm/pool.go: most sub-transactions touch a handful of boxes, so
-// vertex read/write sets keep their first entries inline (no map allocation
-// at all for the common case) and vertices themselves are carved out of
-// per-topTx slabs instead of being allocated one by one. There is
-// deliberately no cross-transaction recycling (no sync.Pool): GAC-escaped
-// futures keep their spawning transaction's vertices reachable after commit,
-// so reusing a vertex's memory for a later transaction could resurrect a
-// detach record's sources. Slabs only amortize allocation; they never reuse.
+// This file holds the engine's per-future plumbing, mirroring the
+// substrate's internal/mvstm/pool.go. Three mechanisms keep a submitted
+// future cheap without changing what it means:
+//
+//   - Warm runners. A future body runs on a runner goroutine owned by the
+//     System: Submit hands the future to an idle runner, or starts a new one
+//     when none is idle. A runner that already grew its stack for a body
+//     runs the next one without growing it again, and no goroutine is
+//     created or torn down per future. Spawning is never bounded (a body
+//     may block on a sibling that has not started yet, so a capped pool
+//     could deadlock); idle runners beyond runnerMaxIdle, or idle for longer
+//     than runnerIdleTimeout, exit, so an idle System holds no goroutines.
+//   - Compact vertices. Most sub-transactions touch one or two boxes, so
+//     vertex read/write sets keep their first isetInline entries inline (no
+//     map at all for the common case) and spill to a map beyond that.
+//   - Vertex slabs. Vertices are carved out of per-topTx slabs instead of
+//     being allocated one by one. There is deliberately no
+//     cross-transaction recycling (no sync.Pool): GAC-escaped futures keep
+//     their spawning transaction's vertices reachable after commit, so
+//     reusing a vertex's memory for a later transaction could resurrect a
+//     detach record's sources. Slabs only amortize allocation; they never
+//     reuse.
 
-// isetInline is the inline capacity of an iset. Eight entries cover typical
-// sub-transaction footprints (the paper's workloads touch a few boxes per
-// future); larger sets spill to an ordinary map.
-const isetInline = 8
+// runnerMaxIdle bounds the runners a System keeps parked; runnerIdleTimeout
+// is how long a parked runner waits for work before it exits.
+const (
+	runnerMaxIdle     = 64
+	runnerIdleTimeout = 250 * time.Millisecond
+)
+
+// runnerPool is the System's set of idle runner goroutines (LIFO, so the
+// most recently used — warmest — runner is reused first).
+type runnerPool struct {
+	mu   sync.Mutex
+	idle []*runner
+}
+
+// runner is one runner goroutine's mailbox. work has room for one future,
+// so handing work to a popped runner never blocks.
+type runner struct {
+	work  chan *Future
+	timer *time.Timer
+}
+
+// start runs f's body on an idle runner, or on a new one.
+func (s *System) start(f *Future) {
+	p := &s.runners
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		r := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		r.work <- f
+		return
+	}
+	p.mu.Unlock()
+	s.stats.RunnerSpawns.Add(1)
+	go s.runLoop(f)
+}
+
+// runLoop is a runner goroutine: run f, then park for the next future until
+// the pool is full or the idle timeout passes.
+func (s *System) runLoop(f *Future) {
+	r := &runner{work: make(chan *Future, 1)}
+	p := &s.runners
+	for {
+		f.run()
+		f = nil // do not pin the finished transaction's graph while parked
+		p.mu.Lock()
+		if len(p.idle) >= runnerMaxIdle {
+			p.mu.Unlock()
+			return
+		}
+		p.idle = append(p.idle, r)
+		p.mu.Unlock()
+		if r.timer == nil {
+			r.timer = time.NewTimer(runnerIdleTimeout)
+		} else {
+			r.timer.Reset(runnerIdleTimeout)
+		}
+		select {
+		case f = <-r.work:
+			continue
+		case <-r.timer.C:
+		}
+		p.mu.Lock()
+		for i, x := range p.idle {
+			if x == r {
+				n := len(p.idle) - 1
+				copy(p.idle[i:], p.idle[i+1:])
+				p.idle[n] = nil
+				p.idle = p.idle[:n]
+				p.mu.Unlock()
+				return
+			}
+		}
+		p.mu.Unlock()
+		// A submitter popped this runner while the timer fired: its future
+		// is on the way.
+		f = <-r.work
+	}
+}
+
+// isetInline is the inline capacity of an iset. A served MULTI's future
+// touches one or two boxes per vertex; larger sets spill to an ordinary map.
+const isetInline = 2
 
 // iset is a small-footprint box-keyed set: up to isetInline entries are
 // stored inline in the struct, past that it spills to a heap map. The zero
@@ -72,7 +167,7 @@ func (s *iset[V]) put(b *mvstm.VBox, v V) {
 		s.n++
 		return
 	}
-	s.m = make(map[*mvstm.VBox]V, 2*isetInline)
+	s.m = make(map[*mvstm.VBox]V, 4*isetInline)
 	for i := 0; i < s.n; i++ {
 		s.m[s.keys[i]] = s.vals[i]
 		s.keys[i] = nil

@@ -27,7 +27,9 @@ func TestRecordingContract(t *testing.T) {
 			return nil, nil
 		})
 		<-started // serialize the interleaving for a stable log
-		<-f.Done()
+		// Wait for the classification, not just the body (Done): the merge
+		// must be recorded before the evaluate below.
+		<-f.settled
 		_, err := tx.Evaluate(f)
 		return err
 	})

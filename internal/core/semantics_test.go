@@ -132,6 +132,89 @@ func TestCancelledChildOfUserAbortedFuture(t *testing.T) {
 	}
 }
 
+// TestMergedChildOfUserAbortedFuture pins the schedule the test above only
+// sometimes hits: the child settles and merges at submission into its
+// spawner's chain before the spawner's body aborts. The discard takes the
+// child's serialization point with it, so its write is dropped and its
+// evaluation reports ErrStaleFuture rather than a success.
+func TestMergedChildOfUserAbortedFuture(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	x := stm.NewBoxNamed("x", 0)
+	boom := errors.New("boom")
+	err := sys.Atomic(func(tx *Tx) error {
+		var child *Future
+		f := tx.Submit(func(ftx *Tx) (any, error) {
+			child = ftx.Submit(func(ctx *Tx) (any, error) {
+				ctx.Write(x, 999)
+				return nil, nil
+			})
+			<-child.settled
+			if st := child.getState(); st != fMerged {
+				return nil, fmt.Errorf("child settled in state %d, want merged", st)
+			}
+			return nil, boom
+		})
+		if _, err := tx.Evaluate(f); !errors.Is(err, boom) {
+			return fmt.Errorf("parent err = %v", err)
+		}
+		if _, err := tx.Evaluate(child); !errors.Is(err, ErrStaleFuture) {
+			return fmt.Errorf("merged child of a discarded chain evaluates to %v, want ErrStaleFuture", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readInt(t, stm, x); got != 0 {
+		t.Fatalf("discarded child's write leaked: x = %d", got)
+	}
+}
+
+// TestMergedGrandchildOfUserAbortedFuture: the grandchild merges into the
+// child's chain, the child merges into the parent's, and the parent then
+// aborts. Both merged descendants are cancelled through the merge chain.
+func TestMergedGrandchildOfUserAbortedFuture(t *testing.T) {
+	sys, stm := newSys(WO, LAC)
+	x := stm.NewBoxNamed("x", 0)
+	y := stm.NewBoxNamed("y", 0)
+	boom := errors.New("boom")
+	err := sys.Atomic(func(tx *Tx) error {
+		var child, grandchild *Future
+		f := tx.Submit(func(ftx *Tx) (any, error) {
+			child = ftx.Submit(func(ctx *Tx) (any, error) {
+				grandchild = ctx.Submit(func(gtx *Tx) (any, error) {
+					gtx.Write(x, 1)
+					return nil, nil
+				})
+				<-grandchild.settled
+				ctx.Write(y, 1)
+				return nil, nil
+			})
+			<-child.settled
+			if child.getState() != fMerged || grandchild.getState() != fMerged {
+				return nil, fmt.Errorf("descendants settled in states %d/%d, want merged",
+					child.getState(), grandchild.getState())
+			}
+			return nil, boom
+		})
+		if _, err := tx.Evaluate(f); !errors.Is(err, boom) {
+			return fmt.Errorf("parent err = %v", err)
+		}
+		for _, d := range []*Future{child, grandchild} {
+			if _, err := tx.Evaluate(d); !errors.Is(err, ErrStaleFuture) {
+				return fmt.Errorf("merged descendant evaluates to %v, want ErrStaleFuture", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gx, gy := readInt(t, stm, x), readInt(t, stm, y); gx != 0 || gy != 0 {
+		t.Fatalf("discarded descendants' writes leaked: x = %d, y = %d", gx, gy)
+	}
+}
+
 func TestLACDoesNotResurrectCancelledChildren(t *testing.T) {
 	sys, stm := newSys(WO, LAC)
 	x := stm.NewBoxNamed("x", 0)

@@ -36,15 +36,15 @@ type topTx struct {
 	// after its lookups has seen a quiescent graph (the counter is monotonic,
 	// so there is no ABA). It doubles as the version key for the per-future
 	// validation caches.
-	mu          sync.RWMutex
-	gver        atomic.Int64
-	root        *vertex
-	nextVID     int
-	flowSeq     int
-	lastInFlow  map[int]*Future // lazy: allocated on first Submit
-	futures     []*Future
-	allVertices []*vertex
-	aggReads    map[*mvstm.VBox]struct{} // lazy: allocated on first aggregated read
+	mu         sync.RWMutex
+	gver       atomic.Int64
+	root       *vertex
+	nextVID    int
+	flowSeq    int
+	lastInFlow map[int]*Future // SO only; lazy: allocated on first Submit
+	futures    []*Future
+	futBuf     [8]*Future               // backs futures for a MULTI-sized fan-out
+	aggReads   map[*mvstm.VBox]struct{} // lazy: allocated on first aggregated read
 	// vslab is the remainder of the current vertex slab; vslabGrow is the
 	// next slab's size (geometric, see pool.go).
 	vslab     []vertex
@@ -83,17 +83,18 @@ type topTx struct {
 	abortCh   chan struct{}
 	commitCh  chan struct{}
 
-	// outstanding counts futures that have not settled yet; the spawning
-	// snapshot stays pinned in the MV-STM until it reaches zero so escaped
-	// futures can keep reading (GAC). outCond signals drops to zero; a zero
-	// observed after the main flow finished is stable because only unsettled
-	// future flows can submit new futures.
+	// outstanding counts futures that have not settled yet; while it is
+	// non-zero at commit, the spawning snapshot stays pinned in the MV-STM so
+	// escaped futures can keep reading (GAC). outCond signals drops to zero;
+	// a zero observed after the main flow finished is stable because only
+	// unsettled future flows can submit new futures.
 	outMu       sync.Mutex
-	outCond     *sync.Cond
+	outCond     sync.Cond
 	outstanding int
 
 	// Commit record, set after a successful MV-STM commit; escaped futures
-	// resolve their observed sub-transaction reads against it.
+	// resolve their observed sub-transaction reads against it. finalWID is
+	// built only when some future escaped (no one else reads it).
 	installed map[*mvstm.VBox]*mvstm.Version
 	finalWID  map[*mvstm.VBox]int64
 
@@ -115,7 +116,7 @@ func (s *System) newTop() *topTx {
 		abortCh:  make(chan struct{}),
 		commitCh: make(chan struct{}),
 	}
-	t.outCond = sync.NewCond(&t.outMu)
+	t.outCond.L = &t.outMu
 	t.rollbackTo = noRollback
 	t.root = t.newVertex(0, nil)
 	s.record(history.Op{Top: t.id, Flow: 0, Kind: history.TopBegin})
@@ -258,7 +259,9 @@ func (t *topTx) commit() (err error) {
 				// WO+LAC: implicitly evaluate the escaping future as the
 				// last sub-transaction before commit (§3.3).
 				sys.stats.ImplicitEvaluations.Add(1)
-				sys.record(history.Op{Top: t.id, Flow: t.mainTx.cur.flow, Kind: history.Evaluate, Arg: f.name() + "/implicit"})
+				if sys.recording() {
+					sys.record(history.Op{Top: t.id, Flow: t.mainTx.cur.flow, Kind: history.Evaluate, Arg: f.name() + "/implicit"})
+				}
 				if _, err := t.mainTx.evaluateLocal(f); err != nil {
 					// The future aborted by program decision; its updates are
 					// discarded and the top-level transaction proceeds.
@@ -274,11 +277,23 @@ func (t *topTx) commit() (err error) {
 	// Fold the main chain into the MV-STM transaction.
 	t.lockG()
 	t.phase.Store(phaseFolding)
-	var mainChain []*vertex
+	escaped := 0
+	for _, f := range t.futures {
+		if st := f.getState(); st == fParked || st == fRunning {
+			escaped++
+		}
+	}
+	if escaped > 0 {
+		t.finalWID = make(map[*mvstm.VBox]int64)
+	}
+	// The main chain is the predecessor path back from the main flow's
+	// vertex; fold it root first, so nearer writes win. The path is walked
+	// in reverse through a short stack buffer.
+	var buf [16]*vertex
+	mainChain := buf[:0]
 	for v := t.mainTx.cur; v != nil; v = v.pred {
 		mainChain = append(mainChain, v)
 	}
-	t.finalWID = make(map[*mvstm.VBox]int64)
 	for i := len(mainChain) - 1; i >= 0; i-- {
 		v := mainChain[i]
 		v.vmu.Lock()
@@ -289,30 +304,34 @@ func (t *topTx) commit() (err error) {
 		}
 		for b, we := range v.writes.all() {
 			t.txn.Write(b, we.val)
-			t.finalWID[b] = we.wid
+			if t.finalWID != nil {
+				t.finalWID[b] = we.wid
+			}
 		}
 		v.vmu.Unlock()
 	}
 	for b := range t.aggReads {
 		t.txn.NoteRead(b)
 	}
-	escaped := 0
-	for _, f := range t.futures {
-		if st := f.getState(); st == fParked || st == fRunning {
-			escaped++
-		}
-	}
 	t.unlockG()
 
 	// Keep the snapshot readable for still-running escaped futures, then
-	// release it once every future settled. Pinning through the live Txn
-	// (rather than STM.Pin by value) is race-free against concurrent
-	// commits' version GC: the pin shares the registration's shard entry.
-	release := t.txn.Pin()
-	go func() {
-		t.awaitQuiescent()
-		release()
-	}()
+	// release it once every future settled. Only a future that has not
+	// settled yet can still read, so with none outstanding (always under
+	// LAC, which waited for every future above) there is nothing to pin.
+	// Pinning through the live Txn (rather than STM.Pin by value) is
+	// race-free against concurrent commits' version GC: the pin shares the
+	// registration's shard entry.
+	t.outMu.Lock()
+	busy := t.outstanding > 0
+	t.outMu.Unlock()
+	if busy {
+		release := t.txn.Pin()
+		go func() {
+			t.awaitQuiescent()
+			release()
+		}()
+	}
 
 	if err := t.txn.Commit(); err != nil {
 		return err

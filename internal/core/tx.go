@@ -349,7 +349,6 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 		sys:           sys,
 		top:           top,
 		id:            len(top.futures) + 1,
-		nm:            fmt.Sprintf("T%d.F%d", top.id, len(top.futures)+1),
 		flow:          fv.flow,
 		body:          body,
 		vertex:        fv,
@@ -359,16 +358,21 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 		settled:       make(chan struct{}),
 	}
 	fv.fut = f
-	// The body's Tx is created here (not in run) so invalidations reach its
+	// The body's Tx is set up here (not in run) so invalidations reach its
 	// visible-write index from the first instant; its index itself builds
 	// lazily on the body's first ancestor-resolving read.
-	f.ftx = &Tx{top: top, cur: fv}
-	top.flowTx[fv.flow] = f.ftx
-	f.prevInFlow = top.lastInFlow[spawner.flow]
-	if top.lastInFlow == nil {
-		top.lastInFlow = make(map[int]*Future)
+	f.ftx.top, f.ftx.cur = top, fv
+	top.flowTx[fv.flow] = &f.ftx
+	if sys.opts.Ordering == SO {
+		f.prevInFlow = top.lastInFlow[spawner.flow]
+		if top.lastInFlow == nil {
+			top.lastInFlow = make(map[int]*Future)
+		}
+		top.lastInFlow[spawner.flow] = f
 	}
-	top.lastInFlow[spawner.flow] = f
+	if top.futures == nil {
+		top.futures = top.futBuf[:0]
+	}
 	top.futures = append(top.futures, f)
 	// The spawner just iCommitted: its writes become visible to the
 	// continuation.
@@ -378,11 +382,13 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 	top.addOutstanding()
 
 	sys.stats.FuturesSubmitted.Add(1)
-	sys.record(history.Op{Top: top.id, Flow: spawner.flow, Kind: history.Submit, Arg: f.name()})
+	if sys.recording() {
+		sys.record(history.Op{Top: top.id, Flow: spawner.flow, Kind: history.Submit, Arg: f.name()})
+	}
 	if h := sys.opts.Hook; h != nil {
 		h.SpawnExpected()
 	}
-	go f.run()
+	sys.start(f)
 	if top.serialSubmit {
 		tx.await(f.settled)
 	}
@@ -395,11 +401,14 @@ func (tx *Tx) Submit(body func(*Tx) (any, error)) *Future {
 // Repeated evaluations are idempotent. A non-nil error is the error f's
 // body aborted with.
 func (tx *Tx) Evaluate(f *Future) (any, error) {
-	tx.top.sys.yield(sched.PointEvaluate, f.name())
+	sys := tx.top.sys
+	if h := sys.opts.Hook; h != nil {
+		h.Yield(sched.PointEvaluate, f.name())
+	}
 	tx.checkAlive()
-	tx.top.sys.record(history.Op{
-		Top: tx.top.id, Flow: tx.cur.flow, Kind: history.Evaluate, Arg: f.name(),
-	})
+	if sys.recording() {
+		sys.record(history.Op{Top: tx.top.id, Flow: tx.cur.flow, Kind: history.Evaluate, Arg: f.name()})
+	}
 	if f.top != tx.top {
 		return tx.evaluateForeign(f)
 	}

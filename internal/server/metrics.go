@@ -216,6 +216,7 @@ func newMetrics(s *Server) *metrics {
 	counter("wtfd_grouped_ops_total", "Ops carried by group commits.", s.groupedOps.Load)
 	counter("wtfd_multi_batches_total", "MULTI batches served.", s.multiBatches.Load)
 	counter("wtfd_future_fanouts_total", "Futures submitted by MULTI fan-outs.", s.futureFanouts.Load)
+	counter("wtfd_future_runner_spawns_total", "Runner goroutines the engine started for future bodies (the rest reused an idle runner).", es.RunnerSpawns.Load)
 	counter("wtfd_dedup_hits_total", "Writes answered from the exactly-once table.", s.dedupHits.Load)
 	counter("wtfd_idle_reaped_total", "Connections reaped by the idle deadline.", s.idleReaped.Load)
 	counter("wtfd_conns_opened_total", "Connections accepted.", s.connsOpened.Load)
@@ -378,13 +379,20 @@ func (s *Server) DebugHandler() http.Handler {
 		enc.Encode(struct {
 			wire.StatsReply
 			Runtime runtimeStats `json:"runtime"`
-		}{s.statsReply(), readRuntimeStats()})
+			Futures futureStats  `json:"futures"`
+		}{s.statsReply(), readRuntimeStats(), futureStats{s.sys.Stats().RunnerSpawns.Load()}})
 	})
 	mux.HandleFunc("/debug/wtfd/slow", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.WriteSlowDump(w)
 	})
 	return mux
+}
+
+// futureStats is the engine's future-runner reuse, rendered only on
+// /debug/wtfd/stats (the STATS wire op carries no such field).
+type futureStats struct {
+	RunnerSpawns int64 `json:"wtfd_future_runner_spawns_total"`
 }
 
 // runtimeStats is the Go runtime's GC cost, read from runtime/metrics only

@@ -255,3 +255,60 @@ func TestFlightRecorderDisabled(t *testing.T) {
 		t.Fatalf("disabled recorder threshold = %d, want -1", dump.ThresholdMS)
 	}
 }
+
+// The engine's runner-spawn counter renders on /metrics and in the
+// /debug/wtfd/stats document, and after a burst of fan-out MULTIs it is far
+// below the number of futures submitted: bodies run on warm runners instead
+// of a fresh goroutine each.
+func TestFutureRunnerSpawnsMetric(t *testing.T) {
+	leakCheck(t)
+	s := startServer(t, Config{Shards: 4, Buckets: 8})
+	cl := newClient(t, s, 1)
+	batch := make([]wire.Cmd, 8)
+	for i := 0; i < 200; i++ {
+		for j := range batch {
+			batch[j] = wire.Cmd{Op: wire.OpPut, Key: "r" + strconv.Itoa(j), Val: []byte(strconv.Itoa(i))}
+		}
+		if _, _, err := cl.Multi(batch); err != nil {
+			t.Fatalf("MULTI: %v", err)
+		}
+	}
+	submitted := s.sys.Stats().FuturesSubmitted.Load()
+	if submitted < 200 {
+		t.Fatalf("FuturesSubmitted = %d after 200 fan-out MULTIs", submitted)
+	}
+
+	rec := httptest.NewRecorder()
+	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var spawns int64 = -1
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "wtfd_future_runner_spawns_total "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			spawns = n
+		}
+	}
+	if spawns <= 0 {
+		t.Fatalf("/metrics wtfd_future_runner_spawns_total = %d, want > 0", spawns)
+	}
+	t.Logf("%d runner spawns for %d futures", spawns, submitted)
+	if spawns*4 > submitted {
+		t.Fatalf("%d runner spawns for %d futures: runners are not reused", spawns, submitted)
+	}
+
+	rec = httptest.NewRecorder()
+	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/wtfd/stats", nil))
+	var doc struct {
+		Futures struct {
+			RunnerSpawns int64 `json:"wtfd_future_runner_spawns_total"`
+		} `json:"futures"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("stats JSON: %v", err)
+	}
+	if doc.Futures.RunnerSpawns != spawns {
+		t.Fatalf("/debug/wtfd/stats runner spawns = %d, /metrics = %d", doc.Futures.RunnerSpawns, spawns)
+	}
+}

@@ -18,6 +18,12 @@ go vet ./...
 echo "== tier-1.5: race (mvstm + core + conform + tstruct + wtfd server/client/wire + wal/persist) =="
 go test -race ./internal/mvstm/ ./internal/core/ ./internal/conform/ ./internal/tstruct/ ./internal/server/ ./internal/client/ ./internal/wire/ ./internal/wal/ ./internal/persist/
 
+echo "== tier-1.5: engine discard/recording regressions under race (-count=20) =="
+# A future merged into a chain that is later discarded must report
+# ErrStaleFuture, and the recording contract must hold on every schedule;
+# both once failed only on some interleavings, so they run repeatedly.
+go test -race -count=20 -run 'TestRecordingContract$|TestCancelledChildOfUserAbortedFuture$|TestMerged(Grand)?[Cc]hildOfUserAbortedFuture$' ./internal/core/
+
 echo "== tier-1.5: crash recovery under race (deterministic fault injection) =="
 # The durability acceptance property: for every injected crash point, the
 # recovered store equals a prefix of the acknowledged-op sequence — no acked
@@ -100,6 +106,23 @@ if [ "$FALLOCS" -gt 0 ]; then
 	exit 1
 fi
 echo "   BenchmarkServerFastGet: ${FALLOCS} allocs/op (floor 0)"
+
+echo "== tier-1.5: engine per-MULTI allocation guard (<= 40 allocs/op) =="
+# One top-level transaction submitting six single-write futures and
+# evaluating them in order: the engine's share of a served MULTI. It measured
+# 37 allocs/op with warm runners, compact vertices and lazy bookkeeping; a
+# rise past the slack means a per-future allocation came back.
+MALLOCS=$(go test -run '^$' -bench 'BenchmarkMultiShape$' -benchtime 20000x -benchmem ./internal/core/ |
+	awk '/^BenchmarkMultiShape/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }')
+if [ -z "$MALLOCS" ]; then
+	echo "ci: BenchmarkMultiShape reported no allocs/op" >&2
+	exit 1
+fi
+if [ "$MALLOCS" -gt 40 ]; then
+	echo "ci: engine MULTI shape allocates ${MALLOCS} allocs/op, floor is 40" >&2
+	exit 1
+fi
+echo "   BenchmarkMultiShape: ${MALLOCS} allocs/op (floor 40)"
 
 echo "== tier-1.5: MULTI executor-path smoke (64k-key store, B/op, allocs/op, GC CPU ns/op) =="
 # The multi8-skew request shape over a realistic keyspace. Reported, not
